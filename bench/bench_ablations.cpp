@@ -13,12 +13,14 @@
 #include "codec/degree.hpp"
 #include "codec/encoder.hpp"
 #include "codec/peeling.hpp"
-#include "codec/solver_reference.hpp"
 #include "overlay/scenario.hpp"
 #include "overlay/sim_config.hpp"
 #include "overlay/transfer.hpp"
 #include "reconcile/cpi.hpp"
 #include "util/random.hpp"
+
+// The list-based solver oracle lives with the tests that pin against it.
+#include "../tests/solver_reference.hpp"
 
 namespace {
 

@@ -26,10 +26,12 @@
 #include "codec/inactivation.hpp"
 #include "codec/peeling.hpp"
 #include "codec/recoder.hpp"
-#include "codec/solver_reference.hpp"
 #include "sketch/minwise.hpp"
 #include "util/permutation.hpp"
 #include "util/random.hpp"
+
+// The list-based solver oracle lives with the tests that pin against it.
+#include "../tests/solver_reference.hpp"
 
 namespace {
 

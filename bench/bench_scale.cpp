@@ -12,14 +12,24 @@
 //     executed tick (the rebuild-per-tick regression guard: ops stay
 //     near the number of *changed* keys, not the swarm size);
 //   * bytes_per_peer — the engine's memory audit at the end of the run
-//     (decoders + endpoints + links over admitted peers).
+//     (decoders + endpoints + links over admitted peers);
+//   * peak_rss_mb — the process's peak resident set (getrusage
+//     ru_maxrss) once the point has run. It is a high-water mark over the
+//     whole process, so each point's figure covers every earlier point
+//     too; the points run in ascending size, so the latest point sets it.
+//     scale_peak_rss_mb is the figure at exit.
 //
-// Two claims are gated in CI (which runs --smoke: the 1k point only):
+// Claims gated in CI (which runs --smoke: the 1k point only, at 1 and at 2
+// shards):
 //   * scale_determinism — two identical 1k runs produce byte-identical
 //     completion trajectories and link totals;
-//   * scale_1k_completed — the 1k swarm runs to full completion.
+//   * scale_1k_completed — the 1k swarm runs to full completion;
+//   * resource bounds — the 1k audit stays under 64 KiB per peer, and the
+//     2-shard peak RSS stays within 2x the 1-shard figure.
 // The 10k point completes too; the 100k point is tick-bounded (partial
 // progress is expected — the curve is about throughput, not completion).
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -53,6 +63,14 @@ core::DeliveryOptions scale_options() {
   return options;
 }
 
+/// Peak resident set of this process so far, in MB (Linux reports
+/// ru_maxrss in KiB).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 struct ScalePoint {
   std::size_t peers = 0;
   std::size_t ticks = 0;
@@ -61,6 +79,7 @@ struct ScalePoint {
   double seconds = 0.0;
   double queue_ops_per_tick = 0.0;
   double bytes_per_peer = 0.0;
+  double peak_rss_mb = 0.0;
   std::vector<std::size_t> completion_ticks;
   std::uint64_t data_bytes = 0;
   std::uint64_t control_bytes = 0;
@@ -99,6 +118,7 @@ ScalePoint run_swarm(const std::vector<std::uint8_t>& content,
   const auto totals = service.link_totals();
   point.data_bytes = totals.data_bytes;
   point.control_bytes = totals.control_bytes;
+  point.peak_rss_mb = peak_rss_mb();
   return point;
 }
 
@@ -113,10 +133,12 @@ void report_point(bench::JsonReport& report, const std::string& tag,
       denom;
   std::printf("%8zu peers: %7.2fs %4zu ticks  %10.0f peers/s/core  "
               "%12.0f peer-ticks/s/core  %7.1f q-ops/tick  %8.0f B/peer  "
-              "completed %zu/%zu\n",
+              "%8.1f MB peak RSS  completed %zu/%zu\n",
               point.peers, point.seconds, point.ticks, peers_per_sec_per_core,
               peer_ticks_per_sec_per_core, point.queue_ops_per_tick,
-              point.bytes_per_peer, point.completed, point.peers);
+              point.bytes_per_peer, point.peak_rss_mb, point.completed,
+              point.peers);
+  std::fflush(stdout);
   report.add("scale_" + tag + "_peers", point.peers);
   report.add("scale_" + tag + "_ticks", point.ticks);
   report.add("scale_" + tag + "_seconds", point.seconds);
@@ -127,6 +149,7 @@ void report_point(bench::JsonReport& report, const std::string& tag,
   report.add("scale_" + tag + "_queue_ops_per_tick",
              point.queue_ops_per_tick);
   report.add("scale_" + tag + "_bytes_per_peer", point.bytes_per_peer);
+  report.add("scale_" + tag + "_peak_rss_mb", point.peak_rss_mb);
   report.add("scale_" + tag + "_completed",
              point.all_complete ? std::size_t{1} : std::size_t{0});
   report.add("scale_" + tag + "_completed_peers", point.completed);
@@ -164,6 +187,7 @@ int main(int argc, char** argv) {
     report_point(report, "100k", top, shards);
   }
 
+  report.add("scale_peak_rss_mb", peak_rss_mb());
   report.write("BENCH_scale.json");
   return deterministic && first.all_complete ? 0 : 1;
 }

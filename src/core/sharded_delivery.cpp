@@ -326,7 +326,7 @@ void ShardedDelivery::phase_send(std::size_t shard) {
     service_local_downloads(entry, work.scheduler);
   }
   // Sender halves of outgoing cross-shard downloads: answer handshakes
-  // and, credit permitting, put this tick's symbol on the ring (the
+  // and, credit permitting, put this tick's symbol on the queue (the
   // barrier after this phase is the cross-shard commit point; a timed
   // link's advance pushes newly arrived frames onto it too).
   for (Download* download : work.cross_senders) {
@@ -405,7 +405,7 @@ void ShardedDelivery::phase_send_multi(std::size_t shard) {
     // a local link's advance_to(now) does both in one call. Keyed off the
     // current tick (never a look-ahead stashed by a previous tick), so a
     // jumped run commits exactly what a lockstep run would have by now.
-    // Phase-safe: the b owner only produces onto this ring in the receive
+    // Phase-safe: the b owner only produces onto this queue in the receive
     // phase, behind the barrier.
     download->cross->commit_b_through(tick_now_);
     download->cross->advance_a_to(tick_now_);

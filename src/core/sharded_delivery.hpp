@@ -25,9 +25,10 @@
 /// so the per-tick hot work — recoding, XOR-heavy decoding, frame
 /// encode/decode — runs on all shards concurrently. Downloads whose sender
 /// and receiver live on different shards ride a wire::ShardLink: the only
-/// state two shards ever share is SPSC rings of encoded frames (and
-/// recycled buffers), exactly the "shards only exchange frames" property
-/// the endpoint layering was built for.
+/// state two shards ever share is its queues of encoded frames (and
+/// recycled buffers), each filled in one phase and drained in the other,
+/// exactly the "shards only exchange frames" property the endpoint
+/// layering was built for.
 ///
 /// A tick is two phases with barriers between them (see DESIGN.md,
 /// "Threading model"):
@@ -266,7 +267,7 @@ class ShardedDelivery {
   /// One peer's earliest upcoming event, re-keyed to the peer id — the
   /// incremental planner's per-key value (see
   /// ContentDeliveryService::plan_peer_events); additionally covers the
-  /// cross-shard ShardLinks (both directions' delay lines and rings).
+  /// cross-shard ShardLinks (both directions' delay lines and queues).
   std::optional<Event> plan_peer_events(std::size_t i, std::uint64_t now);
   void replan_peer(std::size_t i, std::uint64_t now);
   /// See ContentDeliveryService::next_event_time — same incremental

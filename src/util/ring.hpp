@@ -8,10 +8,11 @@
 ///
 /// std::deque allocates and frees node blocks as the head crosses chunk
 /// boundaries, which shows up as steady-state allocation churn on the
-/// zero-allocation symbol path (wire::Pipe and wire::LossyChannel queues).
-/// RingBuffer grows by doubling and then reuses the same slots forever:
-/// push/pop move values in and out, so a popped std::vector's heap storage
-/// travels with it and the vacated slot costs nothing to refill.
+/// zero-allocation symbol path (wire::Pipe, wire::LossyChannel and
+/// wire::ShardLink queues). RingBuffer grows by doubling and then reuses
+/// the same slots forever: push/pop move values in and out, so a popped
+/// std::vector's heap storage travels with it and the vacated slot costs
+/// nothing to refill.
 namespace icd::util {
 
 template <typename T>
@@ -19,6 +20,8 @@ class RingBuffer {
  public:
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
+  /// Slots currently allocated (0 until the first push).
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Element `i` counted from the front (0 = next to pop).
   T& operator[](std::size_t i) { return slots_[index(i)]; }
@@ -36,14 +39,15 @@ class RingBuffer {
 
   T pop_front() {
     T value = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return value;
   }
 
  private:
+  /// The slot count is always a power of two (8, then doubling).
   std::size_t index(std::size_t i) const {
-    return (head_ + i) % slots_.size();
+    return (head_ + i) & (slots_.size() - 1);
   }
 
   void grow() {

@@ -27,7 +27,7 @@
 /// A BufferPool is deliberately NOT thread-safe: the shard-local ownership
 /// rule (DESIGN.md, "Threading model") says every pool belongs to exactly
 /// one shard at a time, and cross-shard buffer traffic goes through
-/// wire::ShardLink's SPSC recycling rings instead. Builds with owner checks
+/// wire::ShardLink's recycle queues instead. Builds with owner checks
 /// enabled (debug builds, or any build defining ICD_POOL_OWNER_CHECKS)
 /// enforce the rule: the first acquire/release binds the pool to the
 /// calling thread and any call from a different thread aborts loudly,

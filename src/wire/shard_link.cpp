@@ -12,14 +12,22 @@ ChannelConfig decorrelated(ChannelConfig config) {
   return config;
 }
 
+/// Queues a value unless the queue already holds ShardLink::kRingFrames
+/// entries; on refusal the value is left for the caller to dispose of.
+template <typename Queue>
+bool push_bounded(Queue& queue, std::vector<std::uint8_t>& value) {
+  if (queue.size() >= ShardLink::kRingFrames) return false;
+  queue.push_back(std::move(value));
+  return true;
+}
+
 }  // namespace
 
 ShardLink::ShardLink(ChannelConfig both_ways)
     : ShardLink(both_ways, decorrelated(both_ways)) {}
 
 ShardLink::ShardLink(ChannelConfig a_to_b, ChannelConfig b_to_a)
-    : a_to_b_(kRingFrames), b_to_a_(kRingFrames),
-      a_(a_to_b, a_to_b_, b_to_a_), b_(b_to_a, b_to_a_, a_to_b_) {}
+    : a_(a_to_b, a_to_b_, b_to_a_), b_(b_to_a, b_to_a_, a_to_b_) {}
 
 void ShardLink::flush() {
   a_.flush_held();
@@ -34,7 +42,7 @@ ShardLink::End::End(ChannelConfig config, Direction& out, Direction& in)
 }
 
 void ShardLink::End::enqueue(std::vector<std::uint8_t> frame) {
-  if (!out_.frames_ring.try_push(frame)) {
+  if (!push_bounded(out_.frames, frame)) {
     ++overflow_drops_;
     release_buffer(std::move(frame));
   }
@@ -55,7 +63,7 @@ bool ShardLink::End::send_datagram(std::vector<std::uint8_t> frame) {
     // sequences: pace the departure (lost frames consumed link capacity
     // too), schedule the arrival (reorder draws swap adjacent arrivals),
     // and hold the frame in the sender-local delay line until its tick —
-    // advance_to()/commit_through() is what commits it to the ring.
+    // advance_to()/commit_through() is what commits it to the queue.
     const std::size_t size = frame.size();
     const std::uint64_t depart = shaper_.pace_departure(size);
     if (ge_ ? ge_->drop(rng_) : rng_.next_bool(config_.loss_rate)) {
@@ -79,7 +87,7 @@ bool ShardLink::End::send_datagram(std::vector<std::uint8_t> frame) {
     return true;
   }
   // One-hop residency, mirroring LossyChannel's event clock: the new
-  // frame pushes its predecessor out of flight and onto the ring (the two
+  // frame pushes its predecessor out of flight and onto the queue (the two
   // may swap — adjacent reordering); the frame itself stays in flight
   // until displaced or until the owner's next advance completes the hop.
   if (held_) {
@@ -130,7 +138,7 @@ void ShardLink::End::advance_to(std::uint64_t t) {
 
 void ShardLink::End::commit_through(std::uint64_t t) {
   // Push-only look-ahead (the clock stays put): frames whose arrival is
-  // due by t cross the ring now so the peer end can drain them in its
+  // due by t cross the queue now so the peer end can drain them in its
   // next phase — see ShardLink::commit_b_through.
   while (auto frame = delayed_.pop_due(t)) {
     enqueue(std::move(*frame));
@@ -138,23 +146,25 @@ void ShardLink::End::commit_through(std::uint64_t t) {
 }
 
 std::optional<std::vector<std::uint8_t>> ShardLink::End::next_datagram() {
-  return in_.frames_ring.try_pop();
+  if (in_.frames.empty()) return std::nullopt;
+  return in_.frames.pop_front();
 }
 
 std::vector<std::uint8_t> ShardLink::End::acquire_buffer() {
   // Prefer a buffer the peer shard recycled from our earlier frames; the
   // shard-local pool is the cold-start (and overflow) fallback.
-  if (auto buffer = out_.recycle.try_pop()) {
-    buffer->clear();
-    return std::move(*buffer);
+  if (!out_.recycle.empty()) {
+    std::vector<std::uint8_t> buffer = out_.recycle.pop_front();
+    buffer.clear();
+    return buffer;
   }
   return Transport::acquire_buffer();
 }
 
 void ShardLink::End::release_buffer(std::vector<std::uint8_t> buffer) {
   // Spent buffers travel back toward the shard that allocated the frames
-  // we consume; a full recycle ring falls back to the local pool.
-  if (in_.recycle.try_push(buffer)) return;
+  // we consume; a full recycle queue falls back to the local pool.
+  if (push_bounded(in_.recycle, buffer)) return;
   Transport::release_buffer(std::move(buffer));
 }
 

@@ -7,20 +7,25 @@
 #include <vector>
 
 #include "util/random.hpp"
-#include "util/spsc.hpp"
+#include "util/ring.hpp"
 #include "wire/transport.hpp"
 
 /// A bidirectional link whose two ends live on different shard threads.
 ///
 /// Same role as ChannelLink, but thread-crossing: each direction is a pair
-/// of SPSC rings — a frame ring carrying datagrams toward the peer shard,
-/// and a recycle ring carrying spent buffers back so the steady-state send
+/// of FIFO queues — a frame queue carrying datagrams toward the peer shard,
+/// and a recycle queue carrying spent buffers back so the steady-state send
 /// path stays allocation-free even though the two ends own separate
 /// BufferPools (pools are shard-local; see DESIGN.md, "Threading model").
-/// The concurrency contract is exactly SPSC per ring: end A's owning thread
-/// is the only producer of the A->B frame ring and the only consumer of the
-/// B->A one; a coordinator may stand in for either thread while the workers
-/// are parked at a barrier (session refresh, teardown).
+/// The queues are plain util::RingBuffers (no slots until the first push,
+/// growth by doubling), bounded logically at kRingFrames entries. They
+/// carry no atomics because the engine's two-phase tick never lets a
+/// queue's producer and consumer run at once: the sending (a) end acts in
+/// the send phase, the receiving (b) end in the receive phase, and the
+/// barrier between the phases orders every handoff. The one cross-phase
+/// call, commit_b_through(), runs on the a end's thread in the send phase,
+/// when the b end is idle. A coordinator may stand in for either end
+/// while the workers are parked at a barrier (session refresh, teardown).
 ///
 /// Channel shaping is applied on the sending side, single-threaded per
 /// direction: Bernoulli loss and an adjacent-swap reorder (one frame held
@@ -37,13 +42,13 @@
 /// trajectory is bit-for-bit identical over either link type. Stochastic
 /// shaping stays deterministic per placement but draws its RNG streams in
 /// link-local order, so moving a peer re-rolls them — exactly like
-/// changing the edge seed. A full frame ring drops the frame (counted;
+/// changing the edge seed. A full frame queue drops the frame (counted;
 /// the protocol absorbs it as loss).
 ///
 /// Timed configs (ChannelConfig delay/jitter/rate) are shaped sender-side
 /// too: frames are paced through a wire::LinkShaper token bucket, held in
 /// a sender-local delay line until their arrival tick, and pushed onto the
-/// frame ring by the owning shard's advance_*_to() call — so the two-phase
+/// frame queue by the owning shard's advance_*_to() call — so the two-phase
 /// barrier remains the commit point for every cross-shard event, and the
 /// consuming shard only ever sees frames that have "arrived". In timed
 /// mode reorder_rate draws swap adjacent arrival times in the delay line
@@ -58,7 +63,7 @@ class ShardLink {
   explicit ShardLink(ChannelConfig both_ways);
   ShardLink(ChannelConfig a_to_b, ChannelConfig b_to_a);
 
-  /// The ends hold references into this object's rings: copying or moving
+  /// The ends hold references into this object's queues: copying or moving
   /// would silently alias (then dangle) them.
   ShardLink(const ShardLink&) = delete;
   ShardLink& operator=(const ShardLink&) = delete;
@@ -68,8 +73,7 @@ class ShardLink {
 
   /// Makes both directions' held-back (reorder) and delay-line frames
   /// deliverable — the teardown analogue of ChannelLink::flush(). Caller
-  /// must hold both sides' SPSC roles (i.e. run while the workers are
-  /// parked).
+  /// must stand in for both ends (i.e. run while the workers are parked).
   void flush();
 
   // --- Virtual clock (timed configs; no-ops otherwise) --------------------
@@ -78,8 +82,8 @@ class ShardLink {
   bool timed() const { return a_.timed() || b_.timed(); }
 
   /// Advances one end's virtual clock, pushing frames whose arrival tick
-  /// has passed onto the ring. Each call belongs to that end's owning
-  /// shard thread (it produces onto the end's outgoing frame ring).
+  /// has passed onto the frame queue. Each call belongs to that end's
+  /// owning shard thread (it produces onto the end's outgoing queue).
   void advance_a_to(std::uint64_t t) { a_.advance_to(t); }
   void advance_b_to(std::uint64_t t) { b_.advance_to(t); }
 
@@ -89,27 +93,27 @@ class ShardLink {
   }
 
   /// Timed reverse-direction commit: pushes b's delay-line frames with
-  /// arrival <= t onto the ring *without* advancing b's clock. The b end
+  /// arrival <= t onto the queue *without* advancing b's clock. The b end
   /// acts in the receive phase, after the a end's drain — so the a-side
   /// owner calls this at the top of its send phase with t = now, making
   /// a frame arriving at tick T drainable in phase T, exactly when a
   /// local ChannelLink's advance_to(T) would surface it. Keying off the
   /// draining tick (not a look-ahead from the previous one) keeps jumped
   /// runs identical to lockstep. Phase-safe despite the a-side call: the
-  /// b owner only produces onto this ring in the receive phase, behind
-  /// the barrier. No-op for untimed directions (their residency holdback
-  /// releases through advance_b_to instead).
+  /// b owner only touches this queue (and b's delay line) in the receive
+  /// phase, behind the barrier. No-op for untimed directions (their
+  /// residency holdback releases through advance_b_to instead).
   void commit_b_through(std::uint64_t t) { b_.commit_through(t); }
 
   /// The earliest virtual time at which either direction can deliver
   /// anything — the event-loop planning surface, mirroring
-  /// ChannelLink::next_event_time(). Frames already committed to a ring
+  /// ChannelLink::next_event_time(). Frames already committed to a queue
   /// ("arrived", awaiting the consumer's drain) report 0 (due
   /// immediately); otherwise the earliest delay-line arrival in either
   /// direction; nullopt = provably drained. Coordinator-only, like every
   /// between-ticks inspection: the workers must be parked at a barrier.
   std::optional<std::uint64_t> next_event_time() const {
-    if (!a_to_b_.frames_ring.empty() || !b_to_a_.frames_ring.empty()) {
+    if (!a_to_b_.frames.empty() || !b_to_a_.frames.empty()) {
       return 0;
     }
     const auto forward = a_.delayed_next_arrival();
@@ -119,8 +123,8 @@ class ShardLink {
     return std::min(*forward, *reverse);
   }
 
-  /// Frames dropped because a frame ring was full (distinct from the
-  /// configured Bernoulli loss).
+  /// Frames dropped because a frame queue held kRingFrames (distinct from
+  /// the configured Bernoulli loss).
   std::size_t overflow_drops() const {
     return a_.overflow_drops() + b_.overflow_drops();
   }
@@ -135,32 +139,35 @@ class ShardLink {
   }
 
   /// Heap bytes the whole edge pins: both ends (transport scratch, private
-  /// per-end pool, delay line, holdback) plus the four fixed SPSC slot
-  /// arrays. Frame payloads momentarily inside a ring are in transit
-  /// between shards and cannot be inspected from one thread; at rest the
-  /// rings are empty, so the slot arrays are the steady-state cost.
+  /// per-end pool, delay line, holdback), the slot arrays the four queues
+  /// have grown so far (a fresh link has none), and the buffers queued in
+  /// them — at rest, the spent buffers parked in the recycle queues.
   /// Coordinator-only, like every between-ticks inspection.
   std::size_t memory_bytes() const {
-    const std::size_t ring_bytes =
-        (a_to_b_.frames_ring.capacity() + a_to_b_.recycle.capacity() +
-         b_to_a_.frames_ring.capacity() + b_to_a_.recycle.capacity()) *
-        sizeof(std::vector<std::uint8_t>);
-    return a_.memory_bytes() + b_.memory_bytes() + ring_bytes;
+    return a_.memory_bytes() + b_.memory_bytes() +
+           queue_bytes(a_to_b_.frames) + queue_bytes(a_to_b_.recycle) +
+           queue_bytes(b_to_a_.frames) + queue_bytes(b_to_a_.recycle);
   }
 
-  /// Frames per direction a burst can queue before overflow; handshake
+  /// Frames per queue a burst can hold before overflow; handshake
   /// fragment trains (multi-KB ART summaries) set the floor.
   static constexpr std::size_t kRingFrames = 1024;
 
  private:
-  using Ring = util::SpscRing<std::vector<std::uint8_t>>;
+  using Queue = util::RingBuffer<std::vector<std::uint8_t>>;
 
   struct Direction {
-    explicit Direction(std::size_t frames)
-        : frames_ring(frames), recycle(frames) {}
-    Ring frames_ring;
-    Ring recycle;
+    Queue frames;
+    Queue recycle;
   };
+
+  static std::size_t queue_bytes(const Queue& queue) {
+    std::size_t bytes = queue.capacity() * sizeof(std::vector<std::uint8_t>);
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      bytes += queue[i].capacity();
+    }
+    return bytes;
+  }
 
   class End : public Transport {
    public:
@@ -201,7 +208,7 @@ class ShardLink {
 
    private:
     void enqueue(std::vector<std::uint8_t> frame);
-    /// Pushes delay-line frames whose arrival tick has passed to the ring.
+    /// Pushes delay-line frames whose arrival tick has passed to the queue.
     void release_arrived();
 
     Direction& out_;
@@ -217,7 +224,7 @@ class ShardLink {
     /// configs pace through the delay line instead): the most recently
     /// sent frame, "in flight" until the next send displaces it or the
     /// owner's next advance completes the hop — LossyChannel's event
-    /// clock, seen from the producing side of the ring. Reorder swaps the
+    /// clock, seen from the producing side of the queue. Reorder swaps the
     /// departing predecessor with the frame replacing it.
     std::optional<std::vector<std::uint8_t>> held_;
     std::uint64_t held_tick_ = 0;

@@ -180,8 +180,8 @@ class Transport {
 
   /// Buffer recycling seam. The defaults go through the link-shared pool;
   /// cross-shard transports (wire::ShardLink) override them to route spent
-  /// receive buffers back to the sending shard through an SPSC ring, since
-  /// a BufferPool itself is shard-local (see buffer_pool.hpp).
+  /// receive buffers back to the sending shard through a recycle queue,
+  /// since a BufferPool itself is shard-local (see buffer_pool.hpp).
   virtual std::vector<std::uint8_t> acquire_buffer() {
     return pool_->acquire();
   }

@@ -1,6 +1,6 @@
 // Sharded delivery engine: determinism contract (shards = 1 is bit-for-bit
 // the legacy ContentDeliveryService), multi-shard swarm correctness (run
-// under TSAN in CI), SPSC ring and cross-shard link plumbing, and the
+// under TSAN in CI), cross-shard link plumbing and queue bounds, and the
 // per-tick control-frame batching layer.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "core/sharded_delivery.hpp"
 #include "overlay/simulator.hpp"
 #include "util/random.hpp"
-#include "util/spsc.hpp"
 #include "wire/shard_link.hpp"
 #include "wire/transport.hpp"
 
@@ -55,45 +54,6 @@ std::vector<std::size_t> drive(Service& service, std::size_t peers,
   return completion;
 }
 
-// --- SPSC ring --------------------------------------------------------------
-
-TEST(SpscRing, CrossThreadFifoDeliversEverythingInOrder) {
-  util::SpscRing<std::vector<std::uint8_t>> ring(64);
-  constexpr std::size_t kItems = 20000;
-  std::vector<std::size_t> seen;
-  seen.reserve(kItems);
-  std::jthread consumer([&] {
-    while (seen.size() < kItems) {
-      if (auto item = ring.try_pop()) {
-        seen.push_back((*item)[0] | (std::size_t{(*item)[1]} << 8));
-      }
-    }
-  });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    std::vector<std::uint8_t> item{static_cast<std::uint8_t>(i),
-                                   static_cast<std::uint8_t>(i >> 8)};
-    while (!ring.try_push(item)) {
-    }
-  }
-  consumer.join();
-  ASSERT_EQ(seen.size(), kItems);
-  for (std::size_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[i], i & 0xffff) << "position " << i;
-    if (seen[i] != (i & 0xffff)) break;
-  }
-}
-
-TEST(SpscRing, RejectsWhenFullWithoutLosingTheValue) {
-  util::SpscRing<std::vector<std::uint8_t>> ring(8);
-  std::vector<std::uint8_t> item{42};
-  for (std::size_t i = 0; i < ring.capacity(); ++i) {
-    std::vector<std::uint8_t> filler{1};
-    ASSERT_TRUE(ring.try_push(filler));
-  }
-  EXPECT_FALSE(ring.try_push(item));
-  EXPECT_EQ(item, (std::vector<std::uint8_t>{42}));  // untouched
-}
-
 // --- ShardLink --------------------------------------------------------------
 
 TEST(ShardLink, CarriesFramesBothWaysAndRecyclesBuffers) {
@@ -126,6 +86,36 @@ TEST(ShardLink, CarriesFramesBothWaysAndRecyclesBuffers) {
     ASSERT_TRUE(link.b().receive().has_value());
   }
   EXPECT_EQ(link.overflow_drops(), 0u);
+}
+
+TEST(ShardLink, FreshLinkHoldsNoQueueSlots) {
+  // The four queues grow on demand: a link that has carried nothing pins
+  // no queue slots.
+  wire::ChannelConfig config;
+  config.mtu = 1500;
+  wire::ShardLink link(config);
+  EXPECT_LT(link.memory_bytes(), 4096u);
+}
+
+TEST(ShardLink, BurstPastTheBoundDropsExactlyOneFrameAndKeepsFifo) {
+  wire::ChannelConfig config;
+  config.mtu = 1500;
+  wire::ShardLink link(config);
+  constexpr std::size_t kBurst = wire::ShardLink::kRingFrames + 1;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(link.a().send(wire::Request{i}));
+  }
+  // The last frame is still in flight; the hop completing pushes it onto
+  // a queue that already holds kRingFrames frames.
+  link.advance_a_to(1);
+  EXPECT_EQ(link.overflow_drops(), 1u);
+  for (std::size_t i = 0; i < wire::ShardLink::kRingFrames; ++i) {
+    auto frame = link.b().receive();
+    ASSERT_TRUE(frame.has_value()) << "frame " << i;
+    ASSERT_EQ(std::get<wire::Request>(*frame).symbols_desired, i);
+  }
+  EXPECT_FALSE(link.b().receive().has_value());
+  EXPECT_EQ(link.overflow_drops(), 1u);
 }
 
 TEST(ShardLink, AppliesBernoulliLossSenderSide) {

@@ -1,5 +1,5 @@
 // Tests for the icd::util substrate: RNG, primality, hashing, permutations,
-// bit vectors, serialization buffers, packetization.
+// bit vectors, serialization buffers, packetization, the FIFO ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "util/permutation.hpp"
 #include "util/prime.hpp"
 #include "util/random.hpp"
+#include "util/ring.hpp"
 
 namespace icd::util {
 namespace {
@@ -370,6 +371,24 @@ TEST(ByteBuffer, VarintEncodingIsMinimal) {
   EXPECT_EQ(writer.size(), 3u);  // 1 + 2
   writer.varint(1ULL << 21);
   EXPECT_EQ(writer.size(), 7u);  // + 4
+}
+
+TEST(RingBuffer, StaysFifoAcrossWrapAndGrowth) {
+  // Interleaved pushes and pops move the head around the slot array, so
+  // growth happens while the live entries wrap past its end.
+  RingBuffer<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3; ++i) ring.push_back(next_in++);
+    for (int i = 0; i < 2; ++i) ASSERT_EQ(ring.pop_front(), next_out++);
+    ASSERT_EQ(ring.size(), static_cast<std::size_t>(next_in - next_out));
+    ASSERT_EQ(ring.front(), next_out);
+  }
+  EXPECT_EQ(ring.capacity(), 64u);
+  while (!ring.empty()) ASSERT_EQ(ring.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(Packet, PacketizeSplitsAtMtu) {
