@@ -31,10 +31,11 @@ std::vector<std::uint8_t> BlockSource::restore(
   std::vector<std::uint8_t> content;
   content.reserve(content_size);
   for (const auto& block : blocks) {
-    for (const std::uint8_t byte : block) {
-      if (content.size() == content_size) return content;
-      content.push_back(byte);
-    }
+    const std::size_t take =
+        std::min(block.size(), content_size - content.size());
+    content.insert(content.end(), block.begin(),
+                   block.begin() + static_cast<std::ptrdiff_t>(take));
+    if (content.size() == content_size) return content;
   }
   if (content.size() != content_size) {
     throw std::invalid_argument("BlockSource::restore: not enough blocks");

@@ -10,6 +10,7 @@
 
 #include "codec/solver_stats.hpp"
 #include "codec/symbol.hpp"
+#include "util/hash.hpp"
 
 /// Generic peeling solver implementing the *substitution rule* of Luby et
 /// al. [16], shared by the block-level decoder (equations over source block
@@ -33,9 +34,12 @@
 /// waiting index is a flat pool of singly-linked incidence nodes
 /// (tail-appended so per-key traversal preserves equation insertion order),
 /// and the known map is a dense value table + bitmap when keys are 32-bit
-/// block indices (recode-level 64-bit ids keep a hash index). Retired and
-/// redundant payload buffers are recycled through a small freelist, the
-/// `wire::BufferPool` idiom.
+/// block indices, and an open-addressing id -> slot index over dense
+/// insertion-order key/value tables when keys are recode-level 64-bit
+/// symbol ids. An arriving equation resolves each key to its value once;
+/// one whose keys are all known is counted redundant without its payload
+/// ever being copied. Retired payload buffers are recycled through a small
+/// freelist, the `wire::BufferPool` idiom.
 ///
 /// Observable behavior (recovery values, recovery_log order,
 /// redundant/buffered counts) is bit-for-bit identical to the list-based
@@ -58,36 +62,74 @@ struct IncidenceChain {
   std::uint32_t tail = kSolverNil;
 };
 
-/// Recovered-value store. Primary template: hash map, for sparse key
-/// universes (recode-level 64-bit symbol ids, signed test keys).
+/// Recovered-value store. Primary template, for sparse key universes
+/// (recode-level 64-bit symbol ids; signed test keys): an open-addressing
+/// index (linear probing, load <= 1/2) maps a key to a dense slot, and keys
+/// and values live in insertion-order tables indexed by slot. A lookup is
+/// one probe sequence over 4-byte index entries, and no heap node is
+/// allocated per held key.
 template <typename Key>
 class KnownStore {
  public:
-  bool contains(const Key& key) const { return map_.contains(key); }
+  bool contains(Key key) const { return slot_of(key) != kSolverNil; }
 
-  const std::vector<std::uint8_t>* find(const Key& key) const {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
+  const std::vector<std::uint8_t>* find(Key key) const {
+    const std::uint32_t slot = slot_of(key);
+    return slot == kSolverNil ? nullptr : &values_[slot];
   }
 
-  void insert(const Key& key, std::vector<std::uint8_t> value) {
-    map_.emplace(key, std::move(value));
+  /// `key` must not be present (PeelingDecoder recovers each key once).
+  void insert(Key key, std::vector<std::uint8_t> value) {
+    if (2 * (keys_.size() + 1) > index_.size()) grow();
+    index_[free_bucket(key)] = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(key);
+    values_.push_back(std::move(value));
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return keys_.size(); }
 
   std::size_t memory_bytes() const {
-    // Bucket array plus, per node: key, vector header, node/hash links.
-    std::size_t bytes = map_.bucket_count() * sizeof(void*);
-    for (const auto& [key, value] : map_) {
-      bytes += sizeof(Key) + sizeof(std::vector<std::uint8_t>) +
-               2 * sizeof(void*) + value.capacity();
-    }
+    std::size_t bytes = index_.capacity() * sizeof(std::uint32_t) +
+                        keys_.capacity() * sizeof(Key) +
+                        values_.capacity() * sizeof(std::vector<std::uint8_t>);
+    for (const auto& value : values_) bytes += value.capacity();
     return bytes;
   }
 
  private:
-  std::unordered_map<Key, std::vector<std::uint8_t>> map_;
+  static constexpr std::size_t kMinBuckets = 16;
+
+  std::size_t home(Key key) const {
+    const std::uint64_t hash = util::mix64(static_cast<std::uint64_t>(key));
+    return static_cast<std::size_t>(hash) & (index_.size() - 1);
+  }
+
+  std::uint32_t slot_of(Key key) const {
+    if (index_.empty()) return kSolverNil;
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+      const std::uint32_t slot = index_[i];
+      if (slot == kSolverNil || keys_[slot] == key) return slot;
+    }
+  }
+
+  std::size_t free_bucket(Key key) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(key);
+    while (index_[i] != kSolverNil) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    index_.assign(std::max(kMinBuckets, index_.size() * 2), kSolverNil);
+    for (std::uint32_t slot = 0; slot < keys_.size(); ++slot) {
+      index_[free_bucket(keys_[slot])] = slot;
+    }
+  }
+
+  std::vector<std::uint32_t> index_;  // bucket -> slot; kSolverNil = empty
+  std::vector<Key> keys_;             // slot -> key, insertion order
+  std::vector<std::vector<std::uint8_t>> values_;  // slot -> payload
 };
 
 /// Dense specialization for block-index keys: value table indexed by key
@@ -231,15 +273,24 @@ class PeelingDecoder {
   /// Returns true if the equation caused at least one new variable to be
   /// recovered (immediately useful), false if it was buffered or redundant.
   bool add_equation(std::vector<Key> keys, std::vector<std::uint8_t> payload) {
-    return add_equation_impl(keys, std::move(payload));
+    const std::span<const Key> effective = cancel_duplicates(keys);
+    if (resolve(effective) == 0) {
+      recycle(std::move(payload));
+      return count_redundant(effective.size());
+    }
+    return add_resolved(effective, std::move(payload));
   }
 
   /// Span variant for frames decoded in place: keys and payload may borrow
-  /// a transport buffer; the payload is copied exactly once, into a pooled
-  /// solver buffer.
+  /// a transport buffer. The payload is copied at most once, into a pooled
+  /// solver buffer, and not at all when every key is already known: the
+  /// equation is then counted redundant exactly as the copying path counts
+  /// it.
   bool add_equation(std::span<const Key> keys,
                     std::span<const std::uint8_t> payload) {
-    return add_equation_impl(keys, acquire_payload(payload));
+    const std::span<const Key> effective = cancel_duplicates(keys);
+    if (resolve(effective) == 0) return count_redundant(effective.size());
+    return add_resolved(effective, acquire_payload(payload));
   }
 
   bool is_known(const Key& key) const { return known_.contains(key); }
@@ -303,10 +354,11 @@ class PeelingDecoder {
   }
 
   /// Heap bytes this decoder pins: recovered values (incl. the dense
-  /// bitmap/table or hash buckets), the key arena and per-equation arrays,
-  /// buffered payloads, the incidence pool + waiting index, the pending
-  /// queue, the recovery log, and the payload freelist. Exact for vector
-  /// storage; hash node overhead is counted per entry.
+  /// bitmap/table, the id -> slot index or hash buckets), the key arena and
+  /// per-equation arrays, buffered payloads, the incidence pool + waiting
+  /// index, the pending queue, the recovery log, the payload freelist and
+  /// the per-arrival scratch. Exact for vector storage; hash node overhead
+  /// is counted per entry.
   std::size_t memory_bytes() const {
     std::size_t bytes = known_.memory_bytes();
     bytes += arena_.capacity() * sizeof(Key);
@@ -321,6 +373,8 @@ class PeelingDecoder {
     bytes += log_.capacity() * sizeof(Key);
     bytes += payload_pool_.capacity() * sizeof(std::vector<std::uint8_t>);
     for (const auto& payload : payload_pool_) bytes += payload.capacity();
+    bytes += dedup_scratch_.capacity() * sizeof(Key);
+    bytes += resolved_.capacity() * sizeof(void*);
     return bytes;
   }
 
@@ -351,6 +405,8 @@ class PeelingDecoder {
     payload_pool_.shrink_to_fit();
     dedup_scratch_.clear();
     dedup_scratch_.shrink_to_fit();
+    resolved_.clear();
+    resolved_.shrink_to_fit();
     live_equations_ = 0;
   }
 
@@ -397,12 +453,10 @@ class PeelingDecoder {
     chain.tail = idx;
   }
 
-  bool add_equation_impl(std::span<const Key> keys,
-                         std::vector<std::uint8_t> payload) {
-    ++stats_.equations_added;
-    // Cancel duplicate keys (x XOR x = 0). Both producers
-    // (symbol_neighbors, recoded constituents) emit sorted distinct keys;
-    // detect that and skip the dedup pass on the hot path.
+  /// Cancels duplicate keys (x XOR x = 0). Both producers
+  /// (symbol_neighbors, recoded constituents) emit sorted distinct keys;
+  /// those are returned as is, skipping the dedup pass on the hot path.
+  std::span<const Key> cancel_duplicates(std::span<const Key> keys) {
     bool sorted_distinct = true;
     for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
       if (!(keys[i] < keys[i + 1])) {
@@ -410,45 +464,67 @@ class PeelingDecoder {
         break;
       }
     }
-    std::span<const Key> effective = keys;
-    if (!sorted_distinct) {
-      dedup_scratch_.assign(keys.begin(), keys.end());
-      std::sort(dedup_scratch_.begin(), dedup_scratch_.end());
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < dedup_scratch_.size();) {
-        std::size_t j = i + 1;
-        while (j < dedup_scratch_.size() &&
-               dedup_scratch_[j] == dedup_scratch_[i]) {
-          ++j;
-        }
-        if ((j - i) % 2 == 1) dedup_scratch_[out++] = dedup_scratch_[i];
-        i = j;
+    if (sorted_distinct) return keys;
+    dedup_scratch_.assign(keys.begin(), keys.end());
+    std::sort(dedup_scratch_.begin(), dedup_scratch_.end());
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < dedup_scratch_.size();) {
+      std::size_t j = i + 1;
+      while (j < dedup_scratch_.size() &&
+             dedup_scratch_[j] == dedup_scratch_[i]) {
+        ++j;
       }
-      dedup_scratch_.resize(out);
-      effective = dedup_scratch_;
+      if ((j - i) % 2 == 1) dedup_scratch_[out++] = dedup_scratch_[i];
+      i = j;
     }
+    dedup_scratch_.resize(out);
+    return dedup_scratch_;
+  }
 
-    // Substitute already-known variables; stage the unknowns in the arena.
+  /// Looks every key up once: resolved_[i] is the value of keys[i], or
+  /// nullptr while unknown. Returns the number of unknown keys. The
+  /// pointers stay valid until the next recover().
+  std::size_t resolve(std::span<const Key> keys) {
+    resolved_.clear();
+    std::size_t unknowns = 0;
+    for (const Key& k : keys) {
+      const auto* value = known_.find(k);
+      resolved_.push_back(value);
+      if (value == nullptr) ++unknowns;
+    }
+    return unknowns;
+  }
+
+  /// Counts an equation whose `degree` keys are all known as folding it
+  /// would: every key is a substitution, and the equation is redundant.
+  bool count_redundant(std::size_t degree) {
+    ++stats_.equations_added;
+    stats_.substitutions += degree;
+    ++redundant_;
+    ++stats_.redundant;
+    return false;
+  }
+
+  /// Adds an equation with at least one unknown key, just looked up by
+  /// resolve(): folds the known values into the payload and stages the
+  /// unknowns in the arena.
+  bool add_resolved(std::span<const Key> keys,
+                    std::vector<std::uint8_t> payload) {
+    ++stats_.equations_added;
     const std::size_t arena_mark = arena_.size();
     Key acc{};
     std::uint32_t unknowns = 0;
-    for (const Key& k : effective) {
-      if (const auto* value = known_.find(k)) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (const auto* value = resolved_[i]) {
         ++stats_.substitutions;
         xor_into(payload, *value);
       } else {
-        arena_.push_back(k);
-        acc ^= k;
+        arena_.push_back(keys[i]);
+        acc ^= keys[i];
         ++unknowns;
       }
     }
 
-    if (unknowns == 0) {
-      ++redundant_;
-      ++stats_.redundant;
-      recycle(std::move(payload));
-      return false;
-    }
     if (unknowns == 1) {
       const Key last = arena_.back();
       arena_.pop_back();
@@ -523,6 +599,7 @@ class PeelingDecoder {
   std::vector<Key> log_;
   std::vector<std::vector<std::uint8_t>> payload_pool_;  // recycled buffers
   std::vector<Key> dedup_scratch_;
+  std::vector<const std::vector<std::uint8_t>*> resolved_;  // resolve() out
   std::size_t live_equations_ = 0;
   std::size_t redundant_ = 0;
   DecoderStats stats_;

@@ -371,6 +371,12 @@ class SenderEndpoint {
   std::optional<std::uint64_t> receiver_remaining_;
   std::size_t symbols_desired_ = 0;
   double estimated_containment_ = 0.0;
+  /// Invariant: domain_ is a subset of peer_.symbol_ids(). Both sources
+  /// (the Bloom difference over symbol_ids(), the ART difference over the
+  /// tree built from it) return held ids, and a peer never drops a held
+  /// symbol (a crash keeps its working set). send_symbol samples domain_
+  /// through Peer::recode_from_into, which does not re-filter it; a
+  /// broken invariant throws from the payload lookup.
   std::vector<std::uint64_t> domain_;
   codec::DegreeDistribution recode_distribution_;
   std::size_t symbols_sent_ = 0;

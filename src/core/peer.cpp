@@ -109,43 +109,31 @@ codec::RecodedSymbol Peer::recode_from(
 
 void Peer::recode_into(codec::RecodedSymbol& out, std::size_t degree,
                        util::Xoshiro256& rng) const {
-  // The whole working set is the domain and every id in it is held by
-  // construction: sample symbol_ids_ directly, skipping the held filter.
-  blend_recode(out, symbol_ids_, degree, rng);
+  recode_from_into(out, symbol_ids_, degree, rng);
 }
 
 void Peer::recode_from_into(codec::RecodedSymbol& out,
                             const std::vector<std::uint64_t>& domain_ids,
                             std::size_t degree, util::Xoshiro256& rng) const {
-  recode_held_scratch_.clear();
-  recode_held_scratch_.reserve(domain_ids.size());
-  for (const std::uint64_t id : domain_ids) {
-    if (recode_decoder_.has_symbol(id)) recode_held_scratch_.push_back(id);
+  if (domain_ids.empty()) {
+    throw std::invalid_argument("Peer::recode_from: empty domain");
   }
-  blend_recode(out, recode_held_scratch_, degree, rng);
-}
-
-void Peer::blend_recode(codec::RecodedSymbol& out,
-                        const std::vector<std::uint64_t>& held,
-                        std::size_t degree, util::Xoshiro256& rng) const {
-  if (held.empty()) {
-    throw std::invalid_argument("Peer::recode_from: no held ids in domain");
-  }
-  const std::size_t d = std::min(std::max<std::size_t>(degree, 1), held.size());
+  const std::size_t d =
+      std::min(std::max<std::size_t>(degree, 1), domain_ids.size());
   // Reserve to the degree cap (not just d): capacities then reach steady
   // state on the first call instead of whenever the degree distribution
   // happens to draw its maximum — which keeps the send path's
   // zero-allocation guarantee deterministic.
   const std::size_t hint = std::max(
-      d, std::min(held.size(), codec::kDefaultRecodeDegreeLimit));
+      d, std::min(domain_ids.size(), codec::kDefaultRecodeDegreeLimit));
   recode_pick_scratch_.reserve(hint);
-  util::sample_without_replacement_into(recode_pick_scratch_, held.size(), d,
-                                        rng);
+  util::sample_without_replacement_into(recode_pick_scratch_,
+                                        domain_ids.size(), d, rng);
   out.constituents.clear();
   out.constituents.reserve(hint);
   out.payload.clear();
   for (const std::uint64_t pick : recode_pick_scratch_) {
-    const std::uint64_t id = held[static_cast<std::size_t>(pick)];
+    const std::uint64_t id = domain_ids[static_cast<std::size_t>(pick)];
     out.constituents.push_back(id);
     codec::xor_into(out.payload, recode_decoder_.payload(id));
   }

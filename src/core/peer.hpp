@@ -114,8 +114,11 @@ class Peer {
   codec::RecodedSymbol recode(std::size_t degree, util::Xoshiro256& rng) const;
 
   /// Recoded symbol over a restricted domain of held ids (e.g. the ids that
-  /// missed the receiver's Bloom filter). Unknown ids are ignored; throws
-  /// if none of `domain_ids` are held.
+  /// missed the receiver's Bloom filter). Every id in `domain_ids` must be
+  /// held: the domain is sampled as given, with no per-id filter. Throws
+  /// std::invalid_argument if `domain_ids` is empty, and
+  /// std::out_of_range (from the payload lookup) if a sampled id is not
+  /// held.
   codec::RecodedSymbol recode_from(const std::vector<std::uint64_t>& domain_ids,
                                    std::size_t degree,
                                    util::Xoshiro256& rng) const;
@@ -140,7 +143,6 @@ class Peer {
                         block_decoder_.memory_bytes() +
                         sketch_.memory_bytes() +
                         symbol_ids_.capacity() * sizeof(std::uint64_t) +
-                        recode_held_scratch_.capacity() * sizeof(std::uint64_t) +
                         recode_pick_scratch_.capacity() * sizeof(std::uint64_t);
     if (decoded_blocks_) {
       for (const auto& block : *decoded_blocks_) bytes += block.capacity();
@@ -174,12 +176,6 @@ class Peer {
   /// sketch and feeding the block decoder. Returns how many were new.
   std::size_t absorb_acquisitions();
 
-  /// Shared recode core: XOR-blend `degree` distinct symbols sampled from
-  /// `held` (all of which must be held) into `out`.
-  void blend_recode(codec::RecodedSymbol& out,
-                    const std::vector<std::uint64_t>& held, std::size_t degree,
-                    util::Xoshiro256& rng) const;
-
   std::string name_;
   codec::CodeParameters params_;
   codec::DegreeDistribution distribution_;
@@ -190,9 +186,8 @@ class Peer {
   std::size_t log_offset_ = 0;
   std::uint64_t next_fresh_id_;
   std::optional<std::vector<std::vector<std::uint8_t>>> decoded_blocks_;
-  // recode_into scratch: held-id filter and sampled indices. Mutable so
-  // the logically-const recode paths can reuse capacity across calls.
-  mutable std::vector<std::uint64_t> recode_held_scratch_;
+  // Recode scratch: sampled indices. Mutable so the logically-const recode
+  // paths can reuse capacity across calls.
   mutable std::vector<std::uint64_t> recode_pick_scratch_;
 };
 

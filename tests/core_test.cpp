@@ -4,7 +4,9 @@
 // real decoding — end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -114,6 +116,39 @@ TEST(Peer, RecodedSymbolsCascadeThroughBothDecoders) {
   EXPECT_GT(gained, 0u);
   EXPECT_GE(receiver.blocks_recovered(), before_blocks);
   EXPECT_EQ(receiver.symbol_count(), 150 + gained);
+}
+
+TEST(Peer, RecodeFromSamplesTheHeldDomainAsGiven) {
+  // A sender's filtered domain is held by construction, so recode_from_into
+  // samples it as given: constituents come from the domain, the payload is
+  // their XOR, and an id that breaks the invariant throws, never silently.
+  Fixture f;
+  Peer sender = f.make_peer("sender");
+  for (int i = 0; i < 150; ++i) sender.receive_encoded(f.origin.next());
+  std::vector<std::uint64_t> domain;
+  for (std::size_t i = 0; i < sender.symbol_ids().size(); i += 2) {
+    domain.push_back(sender.symbol_ids()[i]);
+  }
+  std::sort(domain.begin(), domain.end());
+
+  util::Xoshiro256 rng(5);
+  codec::RecodedSymbol out;
+  for (const std::size_t degree : {1, 2, 7, 50, 64, 200}) {
+    sender.recode_from_into(out, domain, degree, rng);
+    EXPECT_EQ(out.constituents.size(), std::min(degree, domain.size()));
+    std::vector<std::uint8_t> expected;
+    for (const std::uint64_t id : out.constituents) {
+      EXPECT_TRUE(std::binary_search(domain.begin(), domain.end(), id));
+      codec::xor_into(expected, sender.symbol_payload(id));
+    }
+    EXPECT_EQ(out.payload, expected) << "degree " << degree;
+  }
+  const std::uint64_t stray = std::uint64_t{1} << 61;
+  ASSERT_FALSE(sender.has_symbol(stray));
+  EXPECT_THROW(sender.recode_from_into(out, {stray}, 1, rng),
+               std::out_of_range);
+  EXPECT_THROW(sender.recode_from_into(out, {}, 1, rng),
+               std::invalid_argument);
 }
 
 TEST(Peer, SketchTracksWorkingSet) {

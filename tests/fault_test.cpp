@@ -12,10 +12,13 @@
 #include <vector>
 
 #include "core/delivery.hpp"
+#include "core/endpoint.hpp"
 #include "core/fault_plan.hpp"
+#include "core/origin.hpp"
 #include "core/sharded_delivery.hpp"
 #include "util/random.hpp"
 #include "wire/channel.hpp"
+#include "wire/transport.hpp"
 
 namespace icd {
 namespace {
@@ -251,6 +254,81 @@ TEST(FaultDelivery, CrashedPeerIsDownThenRestartsAndCompletes) {
   }
   // The restarted peer rejoined and finished after its restart tick.
   EXPECT_GE(service.peer_completion_tick(3), 90u);
+}
+
+/// Every id of the sender's filtered domain is held: Recode/BF samples the
+/// domain without a held filter, so a stray id would throw from the payload
+/// lookup mid-transfer.
+void expect_domain_held(const core::SenderEndpoint& sender,
+                        const std::string& where) {
+  for (const std::uint64_t id : sender.domain()) {
+    ASSERT_TRUE(sender.peer().has_symbol(id)) << where << ": id " << id;
+  }
+}
+
+TEST(FaultDelivery, SenderDomainStaysHeldAcrossCrashAndResumption) {
+  // The engines' crash semantics at the endpoint level: a crash tears the
+  // sessions down but keeps the sender's working set, and the restart
+  // re-handshakes against the current summary. The sender keeps
+  // downloading throughout, so its working set grows under a live domain.
+  constexpr std::size_t kBlocks = 120;
+  constexpr std::size_t kBlockSize = 16;
+  const auto content = random_content(kBlocks * kBlockSize - 3, 71);
+  const auto dist = codec::DegreeDistribution::robust_soliton(kBlocks);
+  for (const core::SummaryKind summary :
+       {core::SummaryKind::kBloomFilter, core::SummaryKind::kArt}) {
+    for (const overlay::Strategy strategy :
+         {overlay::Strategy::kRecodeBloom, overlay::Strategy::kRandomBloom}) {
+      core::OriginServer origin(content, kBlockSize, dist, 91);
+      core::Peer sender_peer("sender", origin.parameters(), dist);
+      core::Peer receiver_peer("receiver", origin.parameters(), dist);
+      for (int i = 0; i < 90; ++i) sender_peer.receive_encoded(origin.next());
+      for (int i = 0; i < 40; ++i) receiver_peer.receive_encoded(origin.next());
+
+      core::SessionOptions options;
+      options.strategy = strategy;
+      options.summary = summary;
+      const std::string tag =
+          std::string(summary == core::SummaryKind::kArt ? "art" : "bloom") +
+          (strategy == overlay::Strategy::kRecodeBloom ? "/recode" : "/random");
+
+      // Session 1, cut short by the sender's crash.
+      {
+        wire::Pipe pipe(1024);
+        core::SenderEndpoint sender(sender_peer, options, pipe.a());
+        core::ReceiverEndpoint receiver(receiver_peer, options, pipe.b());
+        receiver.start();
+        for (int round = 0; round < 30; ++round) {
+          sender.tick();
+          sender.send_symbol();
+          receiver.tick();
+          sender_peer.receive_encoded(origin.next());
+          expect_domain_held(sender, tag + " before crash");
+        }
+        ASSERT_TRUE(sender.transfer_active()) << tag;
+        ASSERT_FALSE(sender.domain().empty()) << tag;
+      }
+      const std::size_t held_at_crash = sender_peer.symbol_count();
+
+      // Restart: the working set survived; the new session resumes.
+      ASSERT_EQ(sender_peer.symbol_count(), held_at_crash) << tag;
+      for (int i = 0; i < 20; ++i) sender_peer.receive_encoded(origin.next());
+      wire::Pipe pipe(1024);
+      core::SenderEndpoint sender(sender_peer, options, pipe.a());
+      core::ReceiverEndpoint receiver(receiver_peer, options, pipe.b());
+      const std::size_t received_before = receiver_peer.symbol_count();
+      receiver.start();
+      for (int round = 0; round < 400 && !receiver.complete(); ++round) {
+        sender.tick();
+        sender.send_symbol();
+        receiver.tick();
+        if (round % 4 == 0) sender_peer.receive_encoded(origin.next());
+        expect_domain_held(sender, tag + " after restart");
+      }
+      ASSERT_FALSE(sender.domain().empty()) << tag;
+      EXPECT_GT(receiver_peer.symbol_count(), received_before) << tag;
+    }
+  }
 }
 
 TEST(FaultDelivery, LivenessTimeoutRecordsFailedSenderDiagnostic) {

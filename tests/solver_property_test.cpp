@@ -1,6 +1,6 @@
 // Equivalence pin for the flat-arena solver rewrite: the production
 // PeelingDecoder (CSR key arena, degree-counter + XOR-accumulator
-// substitution, dense/hash known stores) must match the retained
+// substitution, dense and flat known stores) must match the retained
 // list-based ReferencePeelingDecoder bit-for-bit on every observable —
 // return values, recovery-log order, recovered values, buffered and
 // redundant counters — across randomized scripted op sequences, and the
@@ -8,7 +8,9 @@
 // scratch-elimination reference step for step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "codec/degree.hpp"
@@ -44,15 +46,18 @@ void expect_same_state(const codec::PeelingDecoder<Key>& solver,
   }
 }
 
-/// Random add/mark_known/release scripts over a small key universe, with
+/// Random add/mark_known/release scripts over a key universe, with
 /// duplicate keys inside equations and payloads derived from per-key truth
-/// values so recovered bytes are checkable.
+/// values so recovered bytes are checkable. Each trial runs between
+/// `min_ops` and 3 * `min_ops` ops. `max_known`, if set, receives the most
+/// keys any trial's solver held at once.
 template <typename Key>
-void run_scripted_trials(const std::vector<Key>& universe,
-                         std::uint64_t seed) {
+void run_scripted_trials(const std::vector<Key>& universe, std::uint64_t seed,
+                         int trials = 40, std::size_t min_ops = 30,
+                         std::size_t* max_known = nullptr) {
   util::Xoshiro256 rng(seed);
   const std::size_t payload_size = 6;
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     std::vector<std::vector<std::uint8_t>> truth(universe.size());
     for (auto& value : truth) {
       value.resize(payload_size);
@@ -61,7 +66,7 @@ void run_scripted_trials(const std::vector<Key>& universe,
 
     codec::PeelingDecoder<Key> solver;
     codec::ReferencePeelingDecoder<Key> reference;
-    const std::size_t ops = 30 + rng.next_below(60);
+    const std::size_t ops = min_ops + rng.next_below(2 * min_ops);
     for (std::size_t op = 0; op < ops; ++op) {
       const std::uint64_t kind = rng.next_below(100);
       if (kind < 70) {
@@ -97,6 +102,9 @@ void run_scripted_trials(const std::vector<Key>& universe,
         reference.release_solver_state();
       }
       expect_same_state(solver, reference, universe, trial, op);
+      if (max_known != nullptr) {
+        *max_known = std::max(*max_known, solver.known_count());
+      }
     }
     // Recovered values are the truth (payloads were consistent).
     for (std::size_t k = 0; k < universe.size(); ++k) {
@@ -117,16 +125,120 @@ TEST(SolverProperty, DenseBlockKeysMatchReference) {
 }
 
 TEST(SolverProperty, SparseRecodeKeysMatchReference) {
-  // Recode-level 64-bit symbol ids: exercises the hash known store and
-  // hash incidence index rather than the dense specializations.
+  // Recode-level 64-bit symbol ids: exercises the flat id -> slot known
+  // store and the hash incidence index.
   util::Xoshiro256 rng(0xBEEF);
   std::vector<std::uint64_t> universe(24);
   for (auto& id : universe) id = rng();
   run_scripted_trials(universe, 0xF00D);
 }
 
+TEST(SolverProperty, CollidingRecodeKeysMatchReference) {
+  // Ids that differ only in their high bits, and enough held keys that the
+  // recode-level id -> slot index grows from 16 buckets past 256 (more than
+  // three doublings, each rehashing every held id).
+  const std::uint64_t base = 0x5a5a'5a5a5aULL;
+  std::vector<std::uint64_t> universe(400);
+  for (std::uint64_t i = 0; i < universe.size(); ++i) {
+    universe[i] = base | (i << 40);
+  }
+  std::size_t max_known = 0;
+  run_scripted_trials(universe, 0xC011, /*trials=*/4, /*min_ops=*/600,
+                      &max_known);
+  EXPECT_GT(max_known, 128u);
+}
+
+TEST(SolverProperty, RedundantSpanArrivalsCountLikeTheCopyingPath) {
+  // The span path counts an all-known arrival without copying its payload;
+  // every counter must read as if it had been copied and folded. The
+  // vector path (which always takes ownership of a payload) and the
+  // reference are the yardsticks.
+  util::Xoshiro256 rng(0xAB);
+  std::vector<std::uint64_t> ids(12);
+  for (auto& id : ids) id = rng();
+  std::vector<std::vector<std::uint8_t>> truth(ids.size());
+  for (auto& value : truth) {
+    value.resize(8);
+    for (auto& byte : value) byte = static_cast<std::uint8_t>(rng());
+  }
+
+  codec::PeelingDecoder<std::uint64_t> span_solver;
+  codec::PeelingDecoder<std::uint64_t> vector_solver;
+  codec::ReferencePeelingDecoder<std::uint64_t> reference;
+  constexpr std::size_t kHeld = 8;  // ids[0..8) known up front
+  for (std::size_t k = 0; k < kHeld; ++k) {
+    span_solver.mark_known(ids[k], truth[k]);
+    vector_solver.mark_known(ids[k], truth[k]);
+    reference.mark_known(ids[k], truth[k]);
+  }
+
+  // Index lists into ids; the keys are sorted only where noted.
+  struct Arrival {
+    std::vector<std::size_t> picks;
+    bool sort;
+    std::size_t effective_degree;  // after duplicate cancellation
+  };
+  const std::vector<Arrival> all_known = {
+      {{}, true, 0},                     // empty key list
+      {{3}, true, 1},
+      {{0, 1, 2, 3, 4, 5, 6, 7}, true, 8},
+      {{5, 1, 6}, false, 3},             // unsorted
+      {{2, 2, 4}, false, 1},             // duplicate pair cancels
+      {{6, 6}, false, 0},                // cancels to empty
+      {{7, 0, 7, 0, 7}, false, 1},       // 7 thrice survives, 0 twice cancels
+  };
+  const auto feed = [&](const Arrival& arrival) {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint8_t> payload(8, 0);
+    for (const std::size_t pick : arrival.picks) {
+      keys.push_back(ids[pick]);
+      for (std::size_t b = 0; b < payload.size(); ++b) {
+        payload[b] ^= truth[pick][b];
+      }
+    }
+    if (arrival.sort) std::sort(keys.begin(), keys.end());
+    const bool got = span_solver.add_equation(
+        std::span<const std::uint64_t>(keys),
+        std::span<const std::uint8_t>(payload));
+    EXPECT_EQ(got, vector_solver.add_equation(keys, payload));
+    EXPECT_EQ(got, reference.add_equation(keys, payload));
+    EXPECT_EQ(span_solver.stats(), vector_solver.stats());
+    EXPECT_EQ(span_solver.redundant_count(), reference.redundant_count());
+    EXPECT_EQ(span_solver.recovery_log(), reference.recovery_log());
+  };
+
+  codec::DecoderStats expected = span_solver.stats();
+  for (const Arrival& arrival : all_known) {
+    feed(arrival);
+    ++expected.equations_added;
+    expected.substitutions += arrival.effective_degree;
+    ++expected.redundant;
+  }
+  EXPECT_EQ(span_solver.stats(), expected);
+  EXPECT_EQ(span_solver.redundant_count(), all_known.size());
+
+  // Arrivals with unknowns still take the copying path: one buffers, the
+  // next peels both of its unknowns.
+  feed({{0, 10, 11}, true, 3});
+  feed({{1, 9, 10}, false, 3});
+  feed({{9}, true, 1});
+  EXPECT_EQ(span_solver.buffered_count(), reference.buffered_count());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_EQ(span_solver.is_known(ids[k]), reference.is_known(ids[k]));
+    if (span_solver.is_known(ids[k])) {
+      EXPECT_EQ(span_solver.value(ids[k]), truth[k]) << "key " << k;
+    }
+  }
+
+  // A warm span solver takes no pooled buffer for an all-known arrival.
+  const std::size_t warm_bytes = span_solver.memory_bytes();
+  for (const Arrival& arrival : all_known) feed(arrival);
+  EXPECT_EQ(span_solver.memory_bytes(), warm_bytes);
+}
+
 TEST(SolverProperty, SignedTestKeysMatchReference) {
-  // codec_test drives PeelingDecoder<int>; keep that path pinned too.
+  // codec_test drives PeelingDecoder<int>, which shares the flat known
+  // store with the recode-level uint64_t keys; keep that path pinned too.
   std::vector<int> universe(16);
   for (int i = 0; i < static_cast<int>(universe.size()); ++i) {
     universe[static_cast<std::size_t>(i)] = i * 3 - 8;
